@@ -6,7 +6,8 @@ Not a paper figure — the contributor-facing benchmark behind
 * **Throughput**: processing a trace op-by-op through all six
   streaming checkers plus both window trackers costs a small constant
   factor over the batch pipeline's one-shot ``analyze_trace`` (which
-  re-sorts and re-scans the finished trace per checker).  The printed
+  scans the finished trace once and shares the per-agent read lists
+  across checkers and windows).  The printed
   ops/sec pair is the number to watch; the hard assertion only rules
   out a pathological gap.
 * **Bounded memory**: engine state is per-*open*-test and

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 
 __all__ = [
     "READ_YOUR_WRITES",
@@ -101,6 +101,18 @@ class AnomalyChecker(abc.ABC):
         Checkers are pure: they never mutate the trace, and a given
         trace always yields the same observations.
         """
+
+    def check_with_reads(
+        self, trace: TestTrace, reads: Mapping[str, Sequence[ReadOp]]
+    ) -> list[AnomalyObservation]:
+        """:meth:`check`, given ``trace.reads_by_agent()`` precomputed.
+
+        :func:`~repro.core.anomalies.registry.check_all` scans the
+        trace's reads once and hands the per-agent lists to every
+        checker; checkers that read sessions override this to skip
+        their own scan.  The default ignores ``reads``.
+        """
+        return self.check(trace)
 
     def found_in(self, trace: TestTrace) -> bool:
         """Convenience: does the anomaly occur at all in ``trace``?"""

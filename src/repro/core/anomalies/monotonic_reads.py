@@ -27,12 +27,14 @@ previously-seen message.  ``details`` keys:
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 from repro.core.anomalies.base import (
     MONOTONIC_READS,
     AnomalyChecker,
     AnomalyObservation,
 )
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 
 __all__ = ["MonotonicReadsChecker"]
 
@@ -43,10 +45,15 @@ class MonotonicReadsChecker(AnomalyChecker):
     anomaly = MONOTONIC_READS
 
     def check(self, trace: TestTrace) -> list[AnomalyObservation]:
+        return self.check_with_reads(trace, trace.reads_by_agent())
+
+    def check_with_reads(
+        self, trace: TestTrace, reads: Mapping[str, Sequence[ReadOp]]
+    ) -> list[AnomalyObservation]:
         observations: list[AnomalyObservation] = []
         for agent in trace.agents:
             seen_so_far: set[str] = set()
-            for read in trace.reads_by(agent):
+            for read in reads.get(agent, ()):
                 missing = seen_so_far.difference(read.observed)
                 if missing:
                     observations.append(AnomalyObservation(

@@ -18,16 +18,15 @@ of the paper's Figures 3 and 10.  ``details`` keys:
 * ``example`` — mapping with one ``inverted`` message-id pair (ordered
   as the lexicographically-smaller agent saw it) plus both observed
   sequences.
+
+Like content divergence, the predicate is evaluated once per pair of
+*distinct* views (:mod:`repro.core.anomalies.divergence`).
 """
 
 from __future__ import annotations
 
-from repro.core.anomalies.base import (
-    ORDER_DIVERGENCE,
-    AnomalyChecker,
-    AnomalyObservation,
-)
-from repro.core.trace import ReadOp, TestTrace
+from repro.core.anomalies.base import ORDER_DIVERGENCE
+from repro.core.anomalies.divergence import DivergenceChecker
 
 __all__ = ["OrderDivergenceChecker", "views_order_diverged",
            "first_inversion"]
@@ -61,61 +60,20 @@ def views_order_diverged(view_a: tuple[str, ...],
     return first_inversion(view_a, view_b) is not None
 
 
-class OrderDivergenceChecker(AnomalyChecker):
+class OrderDivergenceChecker(DivergenceChecker):
     """Detects inverted relative orders between different agents' reads."""
 
     anomaly = ORDER_DIVERGENCE
-
-    def check(self, trace: TestTrace) -> list[AnomalyObservation]:
-        observations: list[AnomalyObservation] = []
-        for first, second in trace.agent_pairs():
-            left, right = sorted((first, second))
-            result = self._check_pair(
-                trace.reads_by(left), trace.reads_by(right)
-            )
-            if result is None:
-                continue
-            count, example, detecting_read = result
-            observations.append(AnomalyObservation(
-                anomaly=self.anomaly,
-                agent=left,
-                time=trace.corrected_response(detecting_read),
-                pair=(left, right),
-                details={
-                    "divergent_read_pairs": count,
-                    "example": example,
-                },
-            ))
-        return observations
+    diverged = staticmethod(views_order_diverged)
 
     @staticmethod
-    def _check_pair(
-        left_reads: list[ReadOp], right_reads: list[ReadOp]
-    ) -> tuple[int, dict, ReadOp] | None:
-        count = 0
-        example: dict | None = None
-        detecting_read: ReadOp | None = None
-        for left_read in left_reads:
-            for right_read in right_reads:
-                inversion = first_inversion(
-                    left_read.observed, right_read.observed
-                )
-                if inversion is None:
-                    continue
-                count += 1
-                if example is None:
-                    example = {
-                        "inverted": inversion,
-                        "left_observed": left_read.observed,
-                        "right_observed": right_read.observed,
-                    }
-                    detecting_read = (
-                        left_read
-                        if left_read.response_local >=
-                        right_read.response_local
-                        else right_read
-                    )
-        if count == 0:
-            return None
-        assert example is not None and detecting_read is not None
-        return count, example, detecting_read
+    def example(left_view: tuple[str, ...],
+                right_view: tuple[str, ...]) -> dict:
+        """The ``example`` evidence for two order-divergent views."""
+        inversion = first_inversion(left_view, right_view)
+        assert inversion is not None
+        return {
+            "inverted": inversion,
+            "left_observed": left_view,
+            "right_observed": right_view,
+        }

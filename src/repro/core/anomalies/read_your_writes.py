@@ -23,12 +23,14 @@ reader's own completed writes.  ``details`` keys:
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 from repro.core.anomalies.base import (
     READ_YOUR_WRITES,
     AnomalyChecker,
     AnomalyObservation,
 )
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 
 __all__ = ["ReadYourWritesChecker"]
 
@@ -39,12 +41,17 @@ class ReadYourWritesChecker(AnomalyChecker):
     anomaly = READ_YOUR_WRITES
 
     def check(self, trace: TestTrace) -> list[AnomalyObservation]:
+        return self.check_with_reads(trace, trace.reads_by_agent())
+
+    def check_with_reads(
+        self, trace: TestTrace, reads: Mapping[str, Sequence[ReadOp]]
+    ) -> list[AnomalyObservation]:
         observations: list[AnomalyObservation] = []
         for agent in trace.agents:
             writes = trace.writes_by(agent)
             if not writes:
                 continue
-            for read in trace.reads_by(agent):
+            for read in reads.get(agent, ()):
                 completed = [w for w in writes
                              if w.response_local <= read.invoke_local]
                 missing = tuple(w.message_id for w in completed

@@ -9,7 +9,7 @@ need (per-agent counts, per-pair booleans).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.anomalies.base import (
     ALL_ANOMALIES,
@@ -23,7 +23,7 @@ from repro.core.anomalies.monotonic_writes import MonotonicWritesChecker
 from repro.core.anomalies.order_divergence import OrderDivergenceChecker
 from repro.core.anomalies.read_your_writes import ReadYourWritesChecker
 from repro.core.anomalies.writes_follow_reads import WritesFollowReadsChecker
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 
 __all__ = ["default_checkers", "check_all", "TraceReport"]
 
@@ -153,8 +153,17 @@ class TraceReport:
 
 
 def check_all(trace: TestTrace,
-              checkers: list[AnomalyChecker] | None = None) -> TraceReport:
-    """Run every checker over ``trace`` and bundle the results."""
+              checkers: list[AnomalyChecker] | None = None,
+              reads: Mapping[str, Sequence[ReadOp]] | None = None
+              ) -> TraceReport:
+    """Run every checker over ``trace`` and bundle the results.
+
+    The trace's reads are scanned once and shared by every checker;
+    pass ``reads`` (``trace.reads_by_agent()``) when the caller has
+    already built it.
+    """
+    if reads is None:
+        reads = trace.reads_by_agent()
     report = TraceReport(
         test_id=trace.test_id,
         service=trace.service,
@@ -163,5 +172,7 @@ def check_all(trace: TestTrace,
     )
     for checker in (checkers if checkers is not None
                     else default_checkers()):
-        report.observations[checker.anomaly] = checker.check(trace)
+        report.observations[checker.anomaly] = checker.check_with_reads(
+            trace, reads
+        )
     return report

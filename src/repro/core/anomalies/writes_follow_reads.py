@@ -34,12 +34,14 @@ keys:
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 from repro.core.anomalies.base import (
     WRITES_FOLLOW_READS,
     AnomalyChecker,
     AnomalyObservation,
 )
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 
 __all__ = ["WritesFollowReadsChecker"]
 
@@ -50,8 +52,15 @@ class WritesFollowReadsChecker(AnomalyChecker):
     anomaly = WRITES_FOLLOW_READS
 
     def check(self, trace: TestTrace) -> list[AnomalyObservation]:
+        return self.check_with_reads(trace, trace.reads_by_agent())
+
+    def check_with_reads(
+        self, trace: TestTrace, reads: Mapping[str, Sequence[ReadOp]]
+    ) -> list[AnomalyObservation]:
         dependencies = {
-            write.message_id: trace.dependencies_of(write)
+            write.message_id: trace.dependencies_of(
+                write, reads.get(write.agent, ())
+            )
             for write in trace.writes()
         }
         dependent_ids = {mid for mid, deps in dependencies.items() if deps}

@@ -25,7 +25,7 @@ to the coordinator's reference frame using the estimated deltas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import AnalysisError
 
@@ -101,6 +101,10 @@ class ReadOp:
 
 #: Union type alias for items in a trace.
 Operation = WriteOp | ReadOp
+
+
+def _response_local(op: Operation) -> float:
+    return op.response_local
 
 
 @dataclass
@@ -193,8 +197,24 @@ class TestTrace:
         """``agent``'s reads in its session (local response) order."""
         ops = [op for op in self.operations
                if isinstance(op, ReadOp) and op.agent == agent]
-        ops.sort(key=lambda op: op.response_local)
+        ops.sort(key=_response_local)
         return ops
+
+    def reads_by_agent(self) -> dict[str, tuple[ReadOp, ...]]:
+        """Every agent's :meth:`reads_by` list, from one scan of the log.
+
+        Built fresh on each call (the trace is mutable, so nothing is
+        cached); analyses that need several agents' reads build it once
+        and pass it down.
+        """
+        by_agent: dict[str, list[ReadOp]] = {
+            agent: [] for agent in self.agents
+        }
+        for op in self.operations:
+            if isinstance(op, ReadOp):
+                by_agent.setdefault(op.agent, []).append(op)
+        return {agent: tuple(sorted(ops, key=_response_local))
+                for agent, ops in by_agent.items()}
 
     def session(self, agent: str) -> list[Operation]:
         """All of ``agent``'s operations in local invocation order."""
@@ -222,18 +242,24 @@ class TestTrace:
 
     # -- Derived causal dependencies ----------------------------------------
 
-    def dependencies_of(self, write: WriteOp) -> frozenset[str]:
+    def dependencies_of(self, write: WriteOp,
+                        author_reads: Sequence[ReadOp] | None = None
+                        ) -> frozenset[str]:
         """Messages ``write`` causally depends on (for the WFR checker).
 
         With an explicit trigger map (Test 1), the map wins.  Otherwise
         dependencies are derived generically: every message the author
         had observed in reads that *completed before* the write was
         invoked (the paper's "w performed by c after observing S1").
+        ``author_reads`` is the author's :meth:`reads_by` list, when the
+        caller already has it.
         """
         if self.wfr_triggers:
             return self.wfr_triggers.get(write.message_id, frozenset())
+        if author_reads is None:
+            author_reads = self.reads_by(write.agent)
         observed: set[str] = set()
-        for read in self.reads_by(write.agent):
+        for read in author_reads:
             if read.response_local <= write.invoke_local:
                 observed.update(read.observed)
         observed.discard(write.message_id)

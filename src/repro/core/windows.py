@@ -17,28 +17,39 @@ computation finds no interval).
 A pair whose views are still divergent at the last read of the test has
 not converged; such runs are excluded from window CDFs but their
 fraction is reported (the paper does the same for Fig. 10).
+
+:func:`trace_windows` computes both kinds for every pair of a trace in
+a single pass: each agent's timeline is built once from the trace's
+per-agent read lists, each pair's merged change points are walked once,
+and at each change point both predicates are looked up in a memo keyed
+by the ``(view_a, view_b)`` pair, so a combination of views that
+recurs (a converged state re-read) is evaluated only the first time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from repro.core.anomalies.content_divergence import views_content_diverged
 from repro.core.anomalies.order_divergence import views_order_diverged
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 
 __all__ = [
     "ViewStep",
     "WindowResult",
     "view_timeline",
     "divergence_windows",
+    "trace_windows",
     "content_divergence_windows",
     "order_divergence_windows",
 ]
 
+View = tuple[str, ...]
+#: Sorted agent pair.
+Pair = tuple[str, str]
 #: Predicate over two views, e.g. ``views_content_diverged``.
-ViewPredicate = Callable[[tuple[str, ...], tuple[str, ...]], bool]
+ViewPredicate = Callable[[View, View], bool]
 
 
 @dataclass(frozen=True)
@@ -97,11 +108,14 @@ def view_timeline(trace: TestTrace, agent: str) -> list[ViewStep]:
 
     Before its first read an agent has the empty view.
     """
+    return _timeline(trace, trace.reads_by(agent))
+
+
+def _timeline(trace: TestTrace,
+              reads: Sequence[ReadOp]) -> list[ViewStep]:
     steps = [ViewStep(float("-inf"), ())]
-    for read in trace.reads_by(agent):
-        steps.append(
-            ViewStep(trace.corrected_response(read), read.observed)
-        )
+    steps.extend(ViewStep(trace.corrected_response(read), read.observed)
+                 for read in reads)
     return steps
 
 
@@ -109,43 +123,88 @@ def divergence_windows(trace: TestTrace, agent_a: str, agent_b: str,
                        predicate: ViewPredicate) -> WindowResult:
     """Compute the windows where ``predicate`` holds between two views."""
     pair = tuple(sorted((agent_a, agent_b)))
-    timeline_a = view_timeline(trace, pair[0])
-    timeline_b = view_timeline(trace, pair[1])
+    return _pair_windows(
+        view_timeline(trace, pair[0]), view_timeline(trace, pair[1]),
+        pair, (predicate,),
+    )[0]
 
+
+def _pair_windows(timeline_a: list[ViewStep],
+                  timeline_b: list[ViewStep], pair: Pair,
+                  predicates: Sequence[ViewPredicate]
+                  ) -> tuple[WindowResult, ...]:
+    """Windows of each of ``predicates`` for one pair, in one walk.
+
+    ``timeline_a`` and ``timeline_b`` are the :func:`view_timeline` of
+    ``pair[0]`` and ``pair[1]``.  The predicates are evaluated once per
+    distinct ``(view_a, view_b)`` combination, however many change
+    points show it.
+    """
     # Merge the two step functions into a single sequence of change
     # points; between consecutive change points both views are constant.
     change_points = sorted(
         {step.time for step in timeline_a[1:]}
         | {step.time for step in timeline_b[1:]}
     )
-    if not change_points:
-        return WindowResult(pair=pair, intervals=(), converged=True)
-
-    intervals: list[tuple[float, float]] = []
-    window_start: float | None = None
+    verdicts: dict[tuple[View, View], tuple[bool, ...]] = {}
+    starts: list[float | None] = [None] * len(predicates)
+    intervals: list[list[tuple[float, float]]] = [
+        [] for _ in predicates
+    ]
     index_a = index_b = 0
     for time in change_points:
         index_a = _advance(timeline_a, index_a, time)
         index_b = _advance(timeline_b, index_b, time)
-        diverged = predicate(
-            timeline_a[index_a].view, timeline_b[index_b].view
+        views = (timeline_a[index_a].view, timeline_b[index_b].view)
+        held = verdicts.get(views)
+        if held is None:
+            held = verdicts[views] = tuple(
+                predicate(*views) for predicate in predicates
+            )
+        for k, diverged in enumerate(held):
+            if diverged and starts[k] is None:
+                starts[k] = time
+            elif not diverged and starts[k] is not None:
+                intervals[k].append((starts[k], time))
+                starts[k] = None
+
+    results = []
+    for start, closed in zip(starts, intervals):
+        if start is not None:
+            # Still divergent at the last observation: close the
+            # interval at the end of the trace so `total`/`largest`
+            # stay meaningful, but flag the pair as unconverged.
+            closed.append((start, change_points[-1]))
+        results.append(WindowResult(
+            pair=pair, intervals=tuple(closed), converged=start is None
+        ))
+    return tuple(results)
+
+
+def trace_windows(
+    trace: TestTrace,
+    reads: Mapping[str, Sequence[ReadOp]] | None = None,
+) -> tuple[dict[Pair, WindowResult], dict[Pair, WindowResult]]:
+    """Content and order windows of every agent pair (Figs. 9 and 10).
+
+    Each agent's timeline is built once, from ``reads``
+    (``trace.reads_by_agent()``, built here when not given), and each
+    pair's change points are walked once for both predicates.  Both
+    mappings are keyed by sorted pair, in ``trace.agent_pairs()`` order.
+    """
+    if reads is None:
+        reads = trace.reads_by_agent()
+    timelines = {agent: _timeline(trace, reads.get(agent, ()))
+                 for agent in trace.agents}
+    content: dict[Pair, WindowResult] = {}
+    order: dict[Pair, WindowResult] = {}
+    for first, second in trace.agent_pairs():
+        pair = tuple(sorted((first, second)))
+        content[pair], order[pair] = _pair_windows(
+            timelines[pair[0]], timelines[pair[1]], pair,
+            (views_content_diverged, views_order_diverged),
         )
-        if diverged and window_start is None:
-            window_start = time
-        elif not diverged and window_start is not None:
-            intervals.append((window_start, time))
-            window_start = None
-
-    converged = window_start is None
-    if window_start is not None:
-        # Still divergent at the last observation: close the interval at
-        # the end of the trace so `total`/`largest` stay meaningful, but
-        # flag the pair as unconverged.
-        intervals.append((window_start, change_points[-1]))
-
-    return WindowResult(
-        pair=pair, intervals=tuple(intervals), converged=converged
-    )
+    return content, order
 
 
 def _advance(timeline: list[ViewStep], index: int, time: float) -> int:

@@ -25,11 +25,7 @@ from typing import Callable
 from repro.core.anomalies import ALL_ANOMALIES
 from repro.core.anomalies.registry import TraceReport, check_all
 from repro.core.trace import TestTrace
-from repro.core.windows import (
-    WindowResult,
-    content_divergence_windows,
-    order_divergence_windows,
-)
+from repro.core.windows import WindowResult, trace_windows
 from repro.errors import ReproError
 from repro.methodology.config import (
     PAPER_PLANS,
@@ -138,18 +134,10 @@ def analyze_trace(trace: TestTrace,
     the record additionally carries the relation-layer metric results
     (see :mod:`repro.relations`).
     """
-    report = check_all(trace)
-    content_windows: dict[Pair, WindowResult] = {}
-    order_windows: dict[Pair, WindowResult] = {}
-    for first, second in trace.agent_pairs():
-        pair = tuple(sorted((first, second)))
-        content_windows[pair] = content_divergence_windows(
-            trace, first, second
-        )
-        order_windows[pair] = order_divergence_windows(
-            trace, first, second
-        )
-    reads = {agent: len(trace.reads_by(agent)) for agent in trace.agents}
+    reads_by_agent = trace.reads_by_agent()
+    report = check_all(trace, reads=reads_by_agent)
+    content_windows, order_windows = trace_windows(trace, reads_by_agent)
+    reads = {agent: len(reads_by_agent[agent]) for agent in trace.agents}
     writes = {agent: len(trace.writes_by(agent))
               for agent in trace.agents}
     times = [trace.corrected_response(op) for op in trace.operations]

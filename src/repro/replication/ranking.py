@@ -107,8 +107,11 @@ class RankedFeedStore:
         #: which is why indexing lag causes read-your-writes but not
         #: monotonic-writes violations.
         self._index_floor: dict[tuple[str, str], float] = {}
-        #: Memoized epoch noise, keyed (reader, message_id, epoch).
-        self._noise_cache: dict[tuple[str, str, int], float] = {}
+        #: Memoized noise of the current epoch, keyed (reader,
+        #: message_id).  Simulated time never runs backwards, so older
+        #: epochs are never asked for again and are dropped whole.
+        self._noise_epoch: int | None = None
+        self._noise_cache: dict[tuple[str, str], float] = {}
         self._shard_map = AuthorShardMap(params.author_shards)
 
     @property
@@ -160,15 +163,15 @@ class RankedFeedStore:
         if self._params.noise_sd == 0:
             return 0.0
         epoch = int(now / self._params.noise_period)
-        key = (reader, message_id, epoch)
+        if epoch != self._noise_epoch:
+            self._noise_epoch = epoch
+            self._noise_cache.clear()
+        key = (reader, message_id)
         noise = self._noise_cache.get(key)
         if noise is None:
             noise = self._rng.ephemeral(
                 f"interest.{reader}.{message_id}.{epoch}"
             ).gauss(0.0, self._params.noise_sd)
-            if len(self._noise_cache) > 16384:
-                # Old epochs are never asked for again.
-                self._noise_cache.clear()
             self._noise_cache[key] = noise
         return noise
 

@@ -1,32 +1,19 @@
 """Streaming divergence checkers (content and order), online.
 
-The batch checkers compare every read of one agent against every read
-of the other — O(reads^2) work and a full trace in memory.  The
-streaming versions exploit that both predicates depend only on the
-*views*, not on which read returned them: per agent (per pair side)
-they keep one record per **distinct view**, with its multiplicity and
-the position/time of its first occurrence.  A new distinct view is
-compared against the other side's distinct views once; a repeated view
-just bumps multiplicities and the running pair count.  Real traces
-re-read a converged state most of the time, so distinct views — and
-therefore state and work — stay far below read counts.
-
-Batch-parity bookkeeping:
-
-* ``count`` — the batch checker counts divergent *(read, read)*
-  combinations, so a divergent distinct-view combo contributes the
-  product of its multiplicities; incrementally, each new read adds the
-  current multiplicity sum of the partner views it diverges from.
-* ``example`` — the batch example comes from the first divergent pair
-  in left-major nested-loop order, i.e. the minimum ``(left read
-  index, right read index)`` over divergent combos.  A combo's minimal
-  pair is the first occurrence of each view, fixed when the *later*
-  first occurrence arrives — so the best example can be tracked with
-  one lexicographic comparison per newly-divergent combo, and repeats
-  can never displace it.
-* ``time``/detecting read — the read of the example pair with the
-  larger local response instant (the left one on ties), exactly the
-  batch tie-break.
+Both predicates depend only on the *views*, not on which read returned
+them, so these checkers share the batch checkers' distinct-view kernel
+(:mod:`repro.core.anomalies.divergence`, which documents how count,
+example and detecting read follow from it).  Per agent (per pair side)
+they keep one :class:`ViewRecord` per **distinct view**, with its
+multiplicity and first read.  A new distinct view is compared against
+the other side's distinct views as it arrives and counted through the
+kernel's :class:`PairTally`; a repeated view just bumps its
+multiplicity, and the pair count grows by the multiplicity sum of the
+partner views it diverges from.  A view pair's example candidate is
+fixed when the *later* first occurrence arrives, so repeats can never
+displace the example.  Real traces re-read a converged state most of
+the time, so distinct views — and therefore state and work — stay far
+below read counts.
 
 ``observe`` never emits: a divergence observation summarizes a whole
 pair for a whole test (at most one per pair), so it only exists at
@@ -43,7 +30,15 @@ from repro.core.anomalies.base import (
     ORDER_DIVERGENCE,
     AnomalyObservation,
 )
-from repro.core.anomalies.order_divergence import first_inversion
+from repro.core.anomalies.content_divergence import (
+    ContentDivergenceChecker,
+)
+from repro.core.anomalies.divergence import (
+    DivergenceChecker,
+    PairTally,
+    ViewRecord,
+)
+from repro.core.anomalies.order_divergence import OrderDivergenceChecker
 from repro.core.trace import ReadOp
 from repro.stream.base import StreamingChecker, StreamOp, TestMeta
 
@@ -53,22 +48,18 @@ __all__ = [
 ]
 
 
-@dataclass
-class _ViewRecord:
-    """One distinct observed view on one side of an agent pair."""
+@dataclass(eq=False)
+class _ViewRecord(ViewRecord):
+    """A distinct view on one side of an agent pair, with its links."""
 
-    view: tuple[str, ...]
-    first_index: int  # index in this side's reads_by order
-    first_response_local: float
-    first_time: float  # corrected response of the first occurrence
-    multiplicity: int = 1
     #: records of partner views this view diverges from.
     divergent_with: list["_ViewRecord"] = field(default_factory=list)
 
 
-@dataclass
-class _PairState:
-    """Divergence state for one unordered agent pair in one test."""
+@dataclass(kw_only=True)
+class _PairState(PairTally):
+    """Divergence state for one unordered agent pair in one test: the
+    pair's tally plus each side's distinct views."""
 
     left: str
     right: str
@@ -79,15 +70,14 @@ class _PairState:
     right_views: dict[tuple[str, ...], _ViewRecord] = field(
         default_factory=dict
     )
-    count: int = 0
-    #: (left first_index, right first_index) of the example combo.
-    best: tuple[int, int] | None = None
-    best_left: _ViewRecord | None = None
-    best_right: _ViewRecord | None = None
 
 
 class _StreamingPairwiseChecker(StreamingChecker):
     """Shared machinery for both divergence checkers."""
+
+    #: The batch checker whose predicate, example and observation
+    #: this streaming checker reuses.
+    batch: DivergenceChecker
 
     def __init__(self) -> None:
         #: test_id -> [(pair state, ...)] in agent_pairs order.
@@ -97,20 +87,12 @@ class _StreamingPairwiseChecker(StreamingChecker):
 
     def open_test(self, meta: TestMeta) -> None:
         self._pairs[meta.test_id] = [
-            _PairState(*sorted((first, second)))
+            _PairState(left=min(first, second), right=max(first, second))
             for first, second in meta.agent_pairs()
         ]
         self._read_counts[meta.test_id] = {
             agent: 0 for agent in meta.agents
         }
-
-    def _diverged(self, left_view: tuple[str, ...],
-                  right_view: tuple[str, ...]) -> bool:
-        raise NotImplementedError
-
-    def _example(self, left_view: tuple[str, ...],
-                 right_view: tuple[str, ...]) -> dict:
-        raise NotImplementedError
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[AnomalyObservation]:
@@ -122,13 +104,13 @@ class _StreamingPairwiseChecker(StreamingChecker):
         counts[op.agent] = index + 1
         for state in self._pairs[meta.test_id]:
             if op.agent == state.left:
-                self._ingest(state, index, op, sop, left_side=True)
+                self._ingest(state, index, op, left_side=True)
             elif op.agent == state.right:
-                self._ingest(state, index, op, sop, left_side=False)
+                self._ingest(state, index, op, left_side=False)
         return []
 
     def _ingest(self, state: _PairState, index: int, op: ReadOp,
-                sop: StreamOp, left_side: bool) -> None:
+                left_side: bool) -> None:
         own = state.left_views if left_side else state.right_views
         partner = state.right_views if left_side else state.left_views
         record = own.get(op.observed)
@@ -137,58 +119,30 @@ class _StreamingPairwiseChecker(StreamingChecker):
             state.count += sum(p.multiplicity
                                for p in record.divergent_with)
             return
-        record = _ViewRecord(
-            view=op.observed,
-            first_index=index,
-            first_response_local=op.response_local,
-            first_time=sop.time,
-        )
+        record = _ViewRecord(op.observed, index, op)
         own[op.observed] = record
+        diverged = self.batch.diverged
         for other in partner.values():
-            if left_side:
-                diverged = self._diverged(record.view, other.view)
-            else:
-                diverged = self._diverged(other.view, record.view)
-            if not diverged:
+            left_rec = record if left_side else other
+            right_rec = other if left_side else record
+            if not diverged(left_rec.view, right_rec.view):
                 continue
             record.divergent_with.append(other)
             other.divergent_with.append(record)
-            state.count += other.multiplicity
-            left_rec = record if left_side else other
-            right_rec = other if left_side else record
-            candidate = (left_rec.first_index, right_rec.first_index)
-            if state.best is None or candidate < state.best:
-                state.best = candidate
-                state.best_left = left_rec
-                state.best_right = right_rec
+            state.add(left_rec, right_rec)
 
     def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
         self._read_counts.pop(meta.test_id, None)
-        observations: list[AnomalyObservation] = []
-        for state in self._pairs.pop(meta.test_id):
-            if state.count == 0:
-                continue
-            left_rec = state.best_left
-            right_rec = state.best_right
-            assert left_rec is not None and right_rec is not None
-            detecting = (
-                left_rec
-                if left_rec.first_response_local >=
-                right_rec.first_response_local
-                else right_rec
-            )
-            observations.append(AnomalyObservation(
-                anomaly=self.anomaly,
-                agent=state.left,
-                time=detecting.first_time,
-                pair=(state.left, state.right),
-                details={
-                    "divergent_read_pairs": state.count,
-                    "example": self._example(left_rec.view,
-                                             right_rec.view),
-                },
-            ))
-        return observations
+
+        def time_of(read: ReadOp) -> float:
+            return meta.corrected(read.agent, read.response_local)
+
+        return [
+            self.batch.observation((state.left, state.right), state,
+                                   time_of)
+            for state in self._pairs.pop(meta.test_id)
+            if state.count
+        ]
 
     def state_size(self) -> int:
         total = 0
@@ -207,40 +161,11 @@ class StreamingContentDivergenceChecker(_StreamingPairwiseChecker):
     """Cross-missing writes between two agents' views, online."""
 
     anomaly = CONTENT_DIVERGENCE
-
-    def _diverged(self, left_view: tuple[str, ...],
-                  right_view: tuple[str, ...]) -> bool:
-        left_set, right_set = set(left_view), set(right_view)
-        return bool(left_set - right_set) and bool(
-            right_set - left_set
-        )
-
-    def _example(self, left_view: tuple[str, ...],
-                 right_view: tuple[str, ...]) -> dict:
-        left_set, right_set = set(left_view), set(right_view)
-        return {
-            "left_only": tuple(sorted(left_set - right_set)),
-            "right_only": tuple(sorted(right_set - left_set)),
-            "left_observed": left_view,
-            "right_observed": right_view,
-        }
+    batch = ContentDivergenceChecker()
 
 
 class StreamingOrderDivergenceChecker(_StreamingPairwiseChecker):
     """Inverted relative orders between two agents' views, online."""
 
     anomaly = ORDER_DIVERGENCE
-
-    def _diverged(self, left_view: tuple[str, ...],
-                  right_view: tuple[str, ...]) -> bool:
-        return first_inversion(left_view, right_view) is not None
-
-    def _example(self, left_view: tuple[str, ...],
-                 right_view: tuple[str, ...]) -> dict:
-        inversion = first_inversion(left_view, right_view)
-        assert inversion is not None
-        return {
-            "inverted": inversion,
-            "left_observed": left_view,
-            "right_observed": right_view,
-        }
+    batch = OrderDivergenceChecker()

@@ -320,6 +320,28 @@ class TestRankedFeed:
         sim.run_until(10.5)  # same epoch
         assert feed.read("bob") == first
 
+    def test_noise_reused_within_epoch_past_old_cache_cap(self,
+                                                          monkeypatch):
+        # More (reader, post) draws in one epoch than the cache once
+        # held (16,384): re-asking any of them in the same epoch must
+        # reuse the draw, not re-seed it; a new epoch draws afresh.
+        sim, feed = self.make_feed(noise_sd=1.0, noise_period=100.0)
+        keys = [(f"r{r}", f"M{m}") for r in range(130) for m in range(130)]
+        first = [feed._interest_noise(reader, post, 10.0)
+                 for reader, post in keys]
+        calls = []
+        ephemeral = feed._rng.ephemeral
+        monkeypatch.setattr(
+            feed._rng, "ephemeral",
+            lambda name: calls.append(name) or ephemeral(name),
+        )
+        again = [feed._interest_noise(reader, post, 50.0)
+                 for reader, post in keys]
+        assert again == first
+        assert calls == []
+        feed._interest_noise("r0", "M0", 150.0)
+        assert calls == ["interest.r0.M0.1"]
+
     def test_zero_noise_orders_by_recency(self):
         sim, feed = self.make_feed(drop_prob=0.0, noise_sd=0.0,
                                    index_lag_median=0.001,
