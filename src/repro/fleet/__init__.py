@@ -4,8 +4,9 @@ The paper's credibility rests on ~1,000 test instances per service per
 template; this package is how the reproduction runs that scale.  A
 :class:`FleetSpec` expands replicates, parameter sweeps, and service
 matrices into independent shard jobs — each a pure function of
-``(service, config, seed)`` — and :func:`run_fleet` executes them on a
-worker-process pool whose merged output is bit-identical to the serial
+``(service, config, seed)`` — and :func:`run_fleet` executes them on
+the worker pool of :mod:`repro.fleet.pool` (shared with the campaign
+service's hunts), whose merged output is bit-identical to the serial
 path (the :func:`fleet_signature` golden digest is the enforced
 contract).  Completed shards persist through an :class:`ArtifactStore`
 and a re-invocation resumes, skipping every digest-valid shard.

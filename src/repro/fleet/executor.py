@@ -1,50 +1,48 @@
-"""Deterministic parallel campaign execution.
+"""Deterministic parallel campaign execution: the fleet shell.
 
 :func:`run_fleet` executes every shard of a
 :class:`~repro.fleet.spec.FleetSpec` and merges the results back into
-the spec's expansion order.  Three properties make the merged output
-bit-identical to running the same campaigns serially:
+the spec's expansion order, bit-identical to running the same
+campaigns serially:
 
 1. **Shard purity** — a shard is ``run_campaign(service, config)``
-   with a fully resolved config; it builds its own simulator world
-   from its own seed and shares no state with other shards.
+   with a fully resolved config and its own simulator world and seed.
 2. **Value transport** — workers return records through the compact
-   JSON encoding of :mod:`repro.io`, whose round trip is exact for
-   everything the analysis pipeline consumes.
+   JSON encoding of :mod:`repro.io`, whose round trip is exact.
 3. **Ordered merge** — results are keyed by shard index, so worker
-   scheduling (and retries after crashes or timeouts) can reorder
-   *execution* but never *output*.
+   scheduling and retries reorder *execution*, never *output*.
 
-``jobs=1`` (the default) runs shards in-process with no serialization
-at all — the exact historical ``replicate``/``sweep`` code path —
-while ``jobs>=2`` fans shards out over a worker-process pool with
-per-shard timeouts and a bounded retry budget for worker *crashes*
-(an exception raised inside a campaign is deterministic and fails the
-fleet immediately; re-running it could only fail identically).
+A fleet is a one-run drain of the worker pool in
+:mod:`repro.fleet.pool` — the pool hunts run on — under its one
+failure policy: worker crashes and timeouts are retried within a
+bounded budget, a campaign exception fails at once.  The fleet fails
+by raising: at ``jobs=1`` the campaign's own exception, unwrapped; at
+``jobs>=2`` a :class:`~repro.errors.FleetError` carrying the worker
+traceback, or naming the attempts once the retry budget is spent.
 
 With an output directory, completed shards are persisted through the
 :class:`~repro.fleet.store.ArtifactStore` as they finish, and a
 re-invocation against the same directory skips every shard whose
 stored records are digest-valid — checkpoint/resume for free.
-
-The executor itself runs on the host, outside the simulation: its
-wall-clock timeouts and scheduling influence only *when* a shard
-executes, never what it computes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection
 from pathlib import Path
-from typing import Callable
 
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.digest import fleet_signature
+from repro.fleet.pool import (
+    DEFAULT_MAX_RETRIES,
+    PoolHooks,
+    ShardRun,
+    ShardRunner,
+    _records_to_jsonable,  # noqa: F401 - for hand-written shards
+    drain,
+    execute_shard,
+    resume,
+)
 from repro.fleet.spec import FleetSpec, ShardJob
 from repro.fleet.store import ArtifactStore
 from repro.methodology.runner import CampaignResult
@@ -61,20 +59,6 @@ from repro.obs.events import (
 
 __all__ = ["run_fleet", "execute_shard", "FleetOutcome",
            "DEFAULT_MAX_RETRIES"]
-
-#: Extra attempts granted to a shard after a worker crash or timeout.
-DEFAULT_MAX_RETRIES = 2
-
-#: A shard runner: ShardJob -> CampaignResult.  Must be picklable
-#: (module-level) to cross the worker-process boundary.
-ShardRunner = Callable[[ShardJob], CampaignResult]
-
-
-def execute_shard(job: ShardJob) -> CampaignResult:
-    """Run one shard: a full campaign, pure in ``(service, config)``."""
-    from repro.methodology.runner import run_campaign
-
-    return run_campaign(job.service, job.config)
 
 
 @dataclass
@@ -133,8 +117,8 @@ def run_fleet(spec: FleetSpec, *,
     Parameters
     ----------
     jobs:
-        Worker processes.  1 (default) executes in-process, exactly
-        like the historical serial path; >= 2 uses a worker pool.
+        Worker processes.  1 (default) executes in-process; >= 2
+        forks one worker process per shard attempt.
     out_dir:
         Artifact-store directory.  Enables persistence and resume:
         digest-valid completed shards found there are loaded instead
@@ -163,8 +147,6 @@ def run_fleet(spec: FleetSpec, *,
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
-    if max_retries < 0:
-        raise ConfigurationError("max_retries must be >= 0")
     if stream and shard_runner is not None:
         raise ConfigurationError(
             "stream=True supplies its own shard runner; pass one or "
@@ -176,61 +158,33 @@ def run_fleet(spec: FleetSpec, *,
             "full traces are a debugging aid and do not cross the "
             "worker boundary (run with jobs=1 to keep them)"
         )
-    runner = shard_runner or execute_shard
+    run = ShardRun(jobs=tuple(spec.jobs()), max_retries=max_retries,
+                   stream=stream)
     emit = on_event or (lambda event: None)
-
-    store: ArtifactStore | None = None
     if out_dir is not None:
-        store = ArtifactStore(out_dir)
-        store.initialize(spec)
+        run.store = ArtifactStore(out_dir)
+        run.store.initialize(spec)
 
-    all_jobs = spec.jobs()
-    total = len(all_jobs)
-    results: dict[int, CampaignResult] = {}
-    skipped: list[str] = []
-    pending: list[ShardJob] = []
-    for job in all_jobs:
-        if store is not None and \
-                store.shard_state(job.shard_id) == "complete":
-            results[job.index] = _result_from_records(
-                job, store.load_shard_records(job.shard_id),
-                obs=store.load_shard_obs(job.shard_id),
-            )
-            skipped.append(job.shard_id)
-        else:
-            pending.append(job)
-
+    resume(run)
+    total = len(run.jobs)
+    executed = tuple(job.shard_id for job, _ in run.queue)
     emit(FleetStarted(total_shards=total, jobs=jobs,
-                      resumed=len(skipped)))
-    skipped_ids = set(skipped)
-    for job in all_jobs:
-        if job.shard_id in skipped_ids:
+                      resumed=len(run.skipped)))
+    for job in run.jobs:
+        if job.index in run.results:  # restored from the store
             emit(_shard_event(ShardSkipped, job, total,
                               reason="complete in store"))
 
-    retries = 0
-    if jobs == 1:
-        if stream:
-            _run_stream_serial(pending, store, emit, total, results)
-        else:
-            _run_serial(pending, runner, store, emit, total, results)
-    else:
-        retries = _run_parallel(
-            pending, jobs, runner, store, emit, total, results,
-            shard_timeout, max_retries, stream,
-        )
+    drain([run], workers=jobs, hooks=_FleetHooks(emit),
+          shard_runner=shard_runner, shard_timeout=shard_timeout)
 
-    merged = [results[job.index] for job in all_jobs]
-    executed = tuple(job.shard_id for job in pending)
-    emit(FleetCompleted(executed=len(executed), skipped=len(skipped),
-                        retries=retries))
+    emit(FleetCompleted(executed=len(executed),
+                        skipped=len(run.skipped), retries=run.retries))
     return FleetOutcome(
-        spec=spec, jobs=tuple(all_jobs), results=merged,
-        skipped=tuple(skipped), executed=executed, retries=retries,
+        spec=spec, jobs=run.jobs,
+        results=[run.results[job.index] for job in run.jobs],
+        skipped=run.skipped, executed=executed, retries=run.retries,
     )
-
-
-# -- Shared helpers -----------------------------------------------------
 
 
 def _shard_event(cls, job: ShardJob, total: int, **extra):
@@ -239,287 +193,32 @@ def _shard_event(cls, job: ShardJob, total: int, **extra):
                **extra)
 
 
-def _result_from_records(job: ShardJob,
-                         jsonable_records: list[dict],
-                         obs: dict | None = None) -> CampaignResult:
-    from repro.io import record_from_dict
+class _FleetHooks(PoolHooks):
+    """Shard lifecycle events; a failed shard fails the fleet."""
 
-    result = CampaignResult(service=job.service, config=job.config,
-                            obs=obs)
-    result.records.extend(record_from_dict(record, job.service)
-                          for record in jsonable_records)
-    return result
+    def __init__(self, emit: EventCallback) -> None:
+        self.emit = emit
 
+    def _shard(self, cls, run, job, **extra) -> None:
+        self.emit(_shard_event(cls, job, len(run.jobs), **extra))
 
-def _records_to_jsonable(result: CampaignResult) -> list[dict]:
-    from repro.io import record_to_dict
+    def started(self, run, job, attempt):
+        self._shard(ShardStarted, run, job, attempt=attempt)
 
-    return [record_to_dict(record) for record in result.records]
+    def checked(self, run, job, message):
+        self._shard(ShardTestChecked, run, job,
+                    test_id=message["test_id"],
+                    test_index=message["test_index"],
+                    anomalies=message["anomalies"],
+                    state_size=message["state_size"])
 
+    def completed(self, run, job, attempt, result):
+        self._shard(ShardCompleted, run, job, attempts=attempt,
+                    records=len(result.records))
 
-def _anomaly_summary(record) -> dict[str, int]:
-    """Nonzero per-kind observation counts of one test record."""
-    return {kind: len(observations) for kind, observations
-            in record.report.observations.items() if observations}
+    def retried(self, run, job, attempt, reason):
+        self._shard(ShardRetried, run, job, attempt=attempt,
+                    reason=reason)
 
-
-# -- Serial path --------------------------------------------------------
-
-
-def _run_serial(pending: list[ShardJob], runner: ShardRunner,
-                store: ArtifactStore | None, emit, total: int,
-                results: dict[int, CampaignResult]) -> None:
-    """In-process execution: the exact historical serial code path.
-
-    Results stay live objects (no serialization round trip), so
-    ``keep_traces`` campaigns retain their traces and an exception
-    inside a campaign propagates unwrapped.
-    """
-    for job in pending:
-        emit(_shard_event(ShardStarted, job, total, attempt=1))
-        result = runner(job)
-        if store is not None:
-            store.write_shard(job, _records_to_jsonable(result),
-                              obs=result.obs)
-        results[job.index] = result
-        emit(_shard_event(ShardCompleted, job, total, attempts=1,
-                          records=len(result.records)))
-
-
-def _run_stream_serial(pending: list[ShardJob],
-                       store: ArtifactStore | None, emit, total: int,
-                       results: dict[int, CampaignResult]) -> None:
-    """Serial execution through the streaming engine.
-
-    Identical merged results (parity contract), plus a
-    :class:`ShardTestChecked` event per test and, with a store, the
-    shard's archived operation stream.
-    """
-    from repro.stream.fleet import run_stream_shard
-
-    for job in pending:
-        emit(_shard_event(ShardStarted, job, total, attempt=1))
-        checked = 0
-
-        def on_test(meta, record, engine, job=job):
-            nonlocal checked
-            emit(_shard_event(
-                ShardTestChecked, job, total,
-                test_id=record.test_id, test_index=checked,
-                anomalies=_anomaly_summary(record),
-                state_size=engine.state_size(),
-            ))
-            checked += 1
-
-        trace_path = (store.trace_path(job.shard_id)
-                      if store is not None else None)
-        result = run_stream_shard(job, on_test, trace_path)
-        if store is not None:
-            store.write_shard(job, _records_to_jsonable(result),
-                              obs=result.obs)
-        results[job.index] = result
-        emit(_shard_event(ShardCompleted, job, total, attempts=1,
-                          records=len(result.records)))
-
-
-# -- Parallel path ------------------------------------------------------
-
-
-def _shard_worker(conn, runner: ShardRunner, job: ShardJob) -> None:
-    """Worker-process entry point: run one shard, ship its records."""
-    try:
-        result = runner(job)
-        payload = {"ok": True,
-                   "records": _records_to_jsonable(result),
-                   "obs": result.obs}
-    except BaseException:
-        payload = {"ok": False, "error": traceback.format_exc()}
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def _stream_shard_worker(conn, job: ShardJob,
-                         trace_path: str | None) -> None:
-    """Streaming worker: interim per-test messages, then the payload.
-
-    Interim messages (``{"type": "test", ...}``) ride the same pipe as
-    the final result; the host forwards them as
-    :class:`ShardTestChecked` events while the shard is still running.
-    A broken pipe on an interim send is ignored — the host may already
-    have abandoned this attempt (timeout), and the final send's
-    failure handling covers the result itself.
-    """
-    from repro.stream.fleet import run_stream_shard
-
-    checked = 0
-
-    def on_test(meta, record, engine):
-        nonlocal checked
-        message = {
-            "type": "test",
-            "test_id": record.test_id,
-            "test_index": checked,
-            "anomalies": _anomaly_summary(record),
-            "state_size": engine.state_size(),
-        }
-        checked += 1
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass
-
-    try:
-        result = run_stream_shard(job, on_test, trace_path)
-        payload = {"ok": True,
-                   "records": _records_to_jsonable(result),
-                   "obs": result.obs}
-    except BaseException:
-        payload = {"ok": False, "error": traceback.format_exc()}
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def _mp_context():
-    """Prefer fork (cheap, inherits the loaded package); fall back."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-@dataclass
-class _Running:
-    job: ShardJob
-    attempt: int
-    process: object
-    deadline: float | None
-
-
-def _run_parallel(pending: list[ShardJob], jobs: int,
-                  runner: ShardRunner, store: ArtifactStore | None,
-                  emit, total: int,
-                  results: dict[int, CampaignResult],
-                  shard_timeout: float | None,
-                  max_retries: int,
-                  stream: bool = False) -> int:
-    ctx = _mp_context()
-    queue: deque[tuple[ShardJob, int]] = deque(
-        (job, 1) for job in pending
-    )
-    running: dict[object, _Running] = {}
-    retries = 0
-
-    def fail_or_retry(entry: _Running, reason: str) -> None:
-        nonlocal retries
-        if entry.attempt > max_retries:
-            raise FleetError(
-                f"shard {entry.job.shard_id!r} failed after "
-                f"{entry.attempt} attempts: {reason}"
-            )
-        retries += 1
-        emit(_shard_event(ShardRetried, entry.job, total,
-                          attempt=entry.attempt + 1, reason=reason))
-        queue.appendleft((entry.job, entry.attempt + 1))
-
-    try:
-        while queue or running:
-            while queue and len(running) < jobs:
-                job, attempt = queue.popleft()
-                recv, send = ctx.Pipe(duplex=False)
-                if stream:
-                    trace_path = (str(store.trace_path(job.shard_id))
-                                  if store is not None else None)
-                    target, args = _stream_shard_worker, (
-                        send, job, trace_path,
-                    )
-                else:
-                    target, args = _shard_worker, (send, runner, job)
-                process = ctx.Process(
-                    target=target, args=args,
-                    name=f"fleet-{job.shard_id}", daemon=True,
-                )
-                process.start()
-                send.close()
-                deadline = (time.monotonic() + shard_timeout
-                            if shard_timeout is not None else None)
-                running[recv] = _Running(job, attempt, process,
-                                         deadline)
-                emit(_shard_event(ShardStarted, job, total,
-                                  attempt=attempt))
-
-            # Wake on result/EOF, or in time to enforce a deadline.
-            poll = 0.5
-            now = time.monotonic()
-            deadlines = [entry.deadline for entry in running.values()
-                         if entry.deadline is not None]
-            if deadlines:
-                poll = max(0.0, min(poll,
-                                    min(deadlines) - now))
-            ready = connection.wait(list(running), timeout=poll)
-
-            for conn in ready:
-                entry = running[conn]
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-                if isinstance(payload, dict) and \
-                        payload.get("type") == "test":
-                    # Interim telemetry; the shard is still running.
-                    emit(_shard_event(
-                        ShardTestChecked, entry.job, total,
-                        test_id=payload["test_id"],
-                        test_index=payload["test_index"],
-                        anomalies=payload["anomalies"],
-                        state_size=payload["state_size"],
-                    ))
-                    continue
-                running.pop(conn)
-                conn.close()
-                entry.process.join()
-                if payload is None:
-                    fail_or_retry(entry, "worker crashed (exit code "
-                                  f"{entry.process.exitcode})")
-                elif payload["ok"]:
-                    result = _result_from_records(
-                        entry.job, payload["records"],
-                        obs=payload.get("obs"),
-                    )
-                    if store is not None:
-                        store.write_shard(entry.job,
-                                          payload["records"],
-                                          obs=payload.get("obs"))
-                    results[entry.job.index] = result
-                    emit(_shard_event(
-                        ShardCompleted, entry.job, total,
-                        attempts=entry.attempt,
-                        records=len(result.records),
-                    ))
-                else:
-                    # A campaign exception is a pure function of the
-                    # shard: retrying cannot change the outcome.
-                    raise FleetError(
-                        f"shard {entry.job.shard_id!r} campaign "
-                        f"failed:\n{payload['error']}"
-                    )
-
-            now = time.monotonic()
-            for conn, entry in list(running.items()):
-                if entry.deadline is not None and now > entry.deadline:
-                    running.pop(conn)
-                    entry.process.terminate()
-                    entry.process.join()
-                    conn.close()
-                    fail_or_retry(
-                        entry,
-                        f"timed out after {shard_timeout:.1f}s",
-                    )
-    finally:
-        for entry in running.values():
-            entry.process.terminate()
-            entry.process.join()
-    return retries
+    def failed(self, run, reason, error=None):
+        raise error if error is not None else FleetError(reason)

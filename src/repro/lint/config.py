@@ -111,13 +111,17 @@ DEFAULT_ENTRY_POINTS = (
 #: ``Pool``-style method names are recognised structurally on top.  A
 #: ``target:arg,arg`` suffix restricts the check to the named keyword
 #: arguments (``run_fleet`` keeps ``on_event`` host-side — only the
-#: shard runner is shipped to workers).
+#: shard runner is shipped to workers).  Fleets and hunts share one
+#: worker pool, so every entry into it is a boundary.
 DEFAULT_PIPE_BOUNDARIES = (
     "multiprocessing.Process",
     "multiprocessing.get_context",
     "concurrent.futures.ProcessPoolExecutor",
     "repro.fleet.run_fleet:shard_runner",
     "repro.fleet.executor.run_fleet:shard_runner",
+    "repro.serve.run_hunts:shard_runner",
+    "repro.serve.scheduler.run_hunts:shard_runner",
+    "repro.fleet.pool.drain:shard_runner",
 )
 
 #: Method names through which a trace/operation record is *emitted* to

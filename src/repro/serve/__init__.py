@@ -12,7 +12,8 @@ service:
 * :mod:`repro.serve.store` — digest-validated persistence of hunt
   state, event feeds, and per-hunt fleet artifact stores;
 * :mod:`repro.serve.scheduler` — work-stealing shard scheduling
-  across concurrent hunts over one worker pool;
+  across concurrent hunts over the worker pool fleets use
+  (:mod:`repro.fleet.pool`);
 * :mod:`repro.serve.service` — the application core (submit / pause /
   resume / cancel / query);
 * :mod:`repro.serve.httpapi` — the versioned ``/v1`` routes on the

@@ -1,11 +1,10 @@
 """Work-stealing shard scheduling across concurrent hunts.
 
-The fleet executor runs *one* spec's shards over a pool.  A campaign
-service has many hunts in flight at once, with skewed shard counts —
-one hunt with dozens of shards next to several one-shard hunts — and a
-naive per-hunt dispatch (drain hunt A, then hunt B, ...) leaves most
-of the pool idle every time a small hunt reaches the barrier.  This
-module schedules *across* hunts:
+A campaign service has many hunts in flight at once, with skewed shard
+counts — one hunt with dozens of shards next to several one-shard
+hunts — and a naive per-hunt dispatch (drain hunt A, then hunt B, ...)
+leaves most of the pool idle every time a small hunt reaches the
+barrier.  This module schedules *across* hunts:
 
 * every hunt keeps its own pending deque (FIFO in spec merge order);
 * each worker slot has a hunt *affinity* — it keeps drawing from the
@@ -18,46 +17,29 @@ module schedules *across* hunts:
 hunts run strictly one after another — and exists as the benchmark
 baseline (``BENCH_serve.json`` compares the two on a skewed mix).
 
-Determinism: scheduling moves shards between workers and reorders
-*execution*, never *output*.  Shards are pure functions of their job;
-results merge by shard index; completed shards persist through each
-hunt's own :class:`~repro.fleet.store.ArtifactStore`.  A hunt executed
-here is byte-identical to the same spec under ``run_fleet`` — the
-parity gate (``tools/serve_parity_check.py``) holds the scheduler to
-that.
+The shards run on the worker pool of :mod:`repro.fleet.pool`, the one
+fleets run on, under its one failure policy: a worker crash or timeout
+is retried within a bounded budget, a campaign exception fails at
+once.  Failing halts only that hunt — the pool keeps serving the
+others — and a hunt already paused, cancelled or failed drops the
+failures of its in-flight shards.
 
-Failure policy mirrors the fleet executor: a worker *crash or timeout*
-is environmental and retried within a bounded budget; an exception
-raised inside a campaign is deterministic, so it fails the hunt
-immediately (only that hunt — the pool keeps serving the others).
-
-This is the serving shell: it runs on the host, outside any
-simulation, and is allowed wall-clock time (``repro.lint`` scope
-waiver for ``repro.serve``) because its timing affects only when a
-shard executes, never what it computes.
+A hunt executed here is byte-identical to the same spec under
+``run_fleet`` — the parity gate (``tools/serve_parity_check.py``)
+holds the scheduler to that.  This is the serving shell: it runs on
+the host, outside any simulation, and may read the wall clock
+(``repro.lint`` scope waiver for ``repro.serve``) because its timing
+decides only when a shard executes, never what it computes.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.fleet.digest import fleet_signature
-from repro.fleet.executor import (
-    DEFAULT_MAX_RETRIES,
-    ShardRunner,
-    _mp_context,
-    _records_to_jsonable,
-    _result_from_records,
-    _shard_worker,
-    execute_shard,
-)
-from repro.fleet.spec import ShardJob
-from repro.fleet.store import ArtifactStore
+from repro.fleet.pool import PoolHooks, ShardRun, ShardRunner, drain, resume
 from repro.methodology.runner import CampaignResult
 from repro.obs.events import (
     HuntShardCompleted,
@@ -76,28 +58,18 @@ ControlFn = Callable[[str], str]
 EventFn = Callable[[ObsEvent], None]
 
 
-@dataclass
-class HuntRun:
-    """One hunt's scheduling input: its jobs and its artifact store."""
+@dataclass(kw_only=True)
+class HuntRun(ShardRun):
+    """One hunt's scheduling input: its jobs and its artifact store.
+
+    A streaming hunt (``stream=True``) emits one
+    :class:`~repro.obs.events.HuntTestChecked` (anomalies + window
+    verdicts) per closed test.  ``stream`` is ignored when a custom
+    ``shard_runner`` is injected — fault-injection runners replace the
+    execution path wholesale.
+    """
 
     hunt_id: str
-    jobs: tuple[ShardJob, ...]
-    store: ArtifactStore | None = None
-    max_retries: int = DEFAULT_MAX_RETRIES
-    #: Execute shards through the streaming engine, emitting one
-    #: :class:`~repro.obs.events.HuntTestChecked` (anomalies + window
-    #: verdicts) per closed test.  Ignored when a custom
-    #: ``shard_runner`` is injected — fault-injection runners replace
-    #: the execution path wholesale.
-    stream: bool = False
-
-    # -- filled by the scheduler ----------------------------------------
-    queue: deque = field(default_factory=deque, repr=False)
-    results: dict = field(default_factory=dict, repr=False)
-    skipped: tuple[str, ...] = ()
-    running: int = 0
-    retries: int = 0
-    halt: str | None = None  # "paused" | "cancelled" | error text
 
 
 @dataclass(frozen=True)
@@ -120,54 +92,18 @@ class HuntOutcome:
         return fleet_signature(list(self.results))
 
 
-def _resume(run: HuntRun) -> None:
-    """Load digest-valid completed shards; queue the rest (FIFO)."""
-    skipped = []
-    for job in run.jobs:
-        if run.store is not None and \
-                run.store.shard_state(job.shard_id) == "complete":
-            run.results[job.index] = _result_from_records(
-                job, run.store.load_shard_records(job.shard_id),
-                obs=run.store.load_shard_obs(job.shard_id),
-            )
-            skipped.append(job.shard_id)
-        else:
-            run.queue.append((job, 1))
-    run.skipped = tuple(skipped)
-
-
-def _complete(run: HuntRun, job: ShardJob, result: CampaignResult,
-              jsonable: list | None, emit: EventFn) -> None:
-    if run.store is not None:
-        run.store.write_shard(
-            job, jsonable if jsonable is not None
-            else _records_to_jsonable(result),
-            obs=result.obs,
-        )
-    run.results[job.index] = result
-    emit(HuntShardCompleted(
-        hunt_id=run.hunt_id, shard_id=job.shard_id,
-        done=len(run.results), total=len(run.jobs),
-    ))
-
-
 def _outcome(run: HuntRun) -> HuntOutcome:
-    if run.halt in ("paused", "cancelled"):
-        return HuntOutcome(hunt_id=run.hunt_id, status=run.halt,
-                           skipped=run.skipped, retries=run.retries)
-    if run.halt is not None:
-        return HuntOutcome(hunt_id=run.hunt_id, status="failed",
-                           skipped=run.skipped, retries=run.retries,
-                           error=run.halt)
-    return HuntOutcome(
-        hunt_id=run.hunt_id, status="done",
-        results=tuple(run.results[job.index] for job in run.jobs),
-        skipped=run.skipped, retries=run.retries,
-    )
-
-
-def _dispatchable(run: HuntRun) -> bool:
-    return bool(run.queue) and run.halt is None
+    if run.halt is None:
+        return HuntOutcome(
+            hunt_id=run.hunt_id, status="done",
+            results=tuple(run.results[job.index] for job in run.jobs),
+            skipped=run.skipped, retries=run.retries,
+        )
+    failed = run.halt not in ("paused", "cancelled")
+    return HuntOutcome(hunt_id=run.hunt_id,
+                       status="failed" if failed else run.halt,
+                       skipped=run.skipped, retries=run.retries,
+                       error=run.halt if failed else None)
 
 
 def run_hunts(runs: list[HuntRun], *,
@@ -200,7 +136,8 @@ def run_hunts(runs: list[HuntRun], *,
         finish and persist); cancelling discards them.
     on_event:
         Receives :class:`~repro.obs.events.HuntShardCompleted` /
-        :class:`~repro.obs.events.HuntShardRetried` telemetry.
+        :class:`~repro.obs.events.HuntShardRetried` /
+        :class:`~repro.obs.events.HuntTestChecked` telemetry.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
@@ -209,40 +146,59 @@ def run_hunts(runs: list[HuntRun], *,
             f"unknown scheduler policy {policy!r} "
             f"(expected one of {SCHEDULER_POLICIES})"
         )
-    runner = shard_runner or execute_shard
-    emit = on_event or (lambda event: None)
-    verdict = control or (lambda hunt_id: "run")
-    #: A custom runner replaces the execution path, stream included.
-    stream_ok = shard_runner is None
-
     for run in runs:
-        _resume(run)
+        resume(run)
+    drain(runs, workers=workers,
+          hooks=_HuntHooks(on_event or (lambda event: None),
+                           control or (lambda hunt_id: "run")),
+          shard_runner=shard_runner, shard_timeout=shard_timeout,
+          pick=lambda runs, affinity: _next_run(runs, policy, affinity))
+    return [_outcome(run) for run in runs]
 
-    def apply_control() -> None:
+
+class _HuntHooks(PoolHooks):
+    """Pause/cancel control and the hunt event feed."""
+
+    def __init__(self, emit: EventFn, verdict: ControlFn) -> None:
+        self.emit = emit
+        self.verdict = verdict
+
+    def poll(self, runs):
         for run in runs:
             if run.halt is not None:
                 continue
-            decision = verdict(run.hunt_id)
+            decision = self.verdict(run.hunt_id)
             if decision == "pause" and run.queue:
                 run.halt = "paused"
             elif decision == "cancel":
                 run.queue.clear()
                 run.halt = "cancelled"
 
-    if workers == 1:
-        _run_inline(runs, policy, runner, emit, apply_control,
-                    stream_ok)
-    else:
-        _run_pool(runs, workers, policy, runner, emit, apply_control,
-                  shard_timeout, stream_ok)
-    return [_outcome(run) for run in runs]
+    def checked(self, run, job, message):
+        self.emit(HuntTestChecked(
+            hunt_id=run.hunt_id, shard_id=job.shard_id,
+            test_id=message["test_id"],
+            test_index=message["test_index"],
+            anomalies=message["anomalies"],
+            windows=message["windows"],
+            state_size=message["state_size"],
+        ))
 
+    def completed(self, run, job, attempt, result):
+        self.emit(HuntShardCompleted(
+            hunt_id=run.hunt_id, shard_id=job.shard_id,
+            done=len(run.results), total=len(run.jobs),
+        ))
 
-# -- Dispatch policy ----------------------------------------------------
+    def retried(self, run, job, attempt, reason):
+        self.emit(HuntShardRetried(
+            hunt_id=run.hunt_id, shard_id=job.shard_id,
+            attempt=attempt, reason=reason,
+        ))
 
 
 def _next_run(runs: list[HuntRun], policy: str,
-              affinity: str | None) -> HuntRun | None:
+              affinity: HuntRun | None) -> HuntRun | None:
     """The hunt the next free worker should draw from.
 
     Stealing: the affinity hunt while it has work, else the
@@ -253,307 +209,14 @@ def _next_run(runs: list[HuntRun], policy: str,
     """
     if policy == "sequential":
         for run in runs:
-            if _dispatchable(run):
+            if run.dispatchable():
                 return run
             if run.running and run.halt is None:
                 return None  # barrier: earlier hunt still in flight
         return None
-    if affinity is not None:
-        for run in runs:
-            if run.hunt_id == affinity and _dispatchable(run):
-                return run
-    candidates = [run for run in runs if _dispatchable(run)]
+    if affinity is not None and affinity.dispatchable():
+        return affinity
+    candidates = [run for run in runs if run.dispatchable()]
     if not candidates:
         return None
     return max(candidates, key=lambda run: len(run.queue))
-
-
-# -- Streaming verdicts --------------------------------------------------
-
-
-def _window_payload(record) -> dict[str, list[dict]]:
-    """One test record's divergence windows, JSON-safe.
-
-    The per-pair verdicts a follow-mode consumer of the event feed
-    acts on: which agent pairs diverged, over which intervals, and
-    whether they reconverged before the test closed.
-    """
-    def encode(windows) -> list[dict]:
-        return [
-            {"pair": list(result.pair),
-             "intervals": [[start, end]
-                           for start, end in result.intervals],
-             "converged": result.converged}
-            for _pair, result in sorted(windows.items())
-        ]
-    return {"content": encode(record.content_windows),
-            "order": encode(record.order_windows)}
-
-
-def _test_message(record, engine, checked: int) -> dict:
-    """One closed test as an interim wire/event payload."""
-    from repro.fleet.executor import _anomaly_summary
-
-    return {
-        "type": "test",
-        "test_id": record.test_id,
-        "test_index": checked,
-        "anomalies": _anomaly_summary(record),
-        "windows": _window_payload(record),
-        "state_size": engine.state_size(),
-    }
-
-
-def _emit_test_checked(run_id: str, shard_id: str, message: dict,
-                       emit: EventFn) -> None:
-    emit(HuntTestChecked(
-        hunt_id=run_id, shard_id=shard_id,
-        test_id=message["test_id"],
-        test_index=message["test_index"],
-        anomalies=message["anomalies"],
-        windows=message["windows"],
-        state_size=message["state_size"],
-    ))
-
-
-def _run_stream_shard(run: HuntRun, job: ShardJob,
-                      emit: EventFn) -> CampaignResult:
-    """One shard through the streaming engine, verdicts to ``emit``."""
-    from repro.stream.fleet import run_stream_shard
-
-    checked = 0
-
-    def on_test(meta, record, engine):
-        nonlocal checked
-        _emit_test_checked(
-            run.hunt_id, job.shard_id,
-            _test_message(record, engine, checked), emit,
-        )
-        checked += 1
-
-    trace_path = (run.store.trace_path(job.shard_id)
-                  if run.store is not None else None)
-    return run_stream_shard(job, on_test, trace_path)
-
-
-def _stream_hunt_worker(conn, job: ShardJob,
-                        trace_path: str | None) -> None:
-    """Streaming worker: interim per-test messages, then the result.
-
-    Like the fleet executor's ``_stream_shard_worker``, but the
-    interim messages also carry the test's divergence-window verdicts
-    (``windows``) for the hunt event feed.  A broken pipe on an
-    interim send is ignored — the host may have abandoned this
-    attempt, and the final send's failure handling covers the result.
-    """
-    import traceback
-
-    from repro.stream.fleet import run_stream_shard
-
-    checked = 0
-
-    def on_test(meta, record, engine):
-        nonlocal checked
-        message = _test_message(record, engine, checked)
-        checked += 1
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass
-
-    try:
-        result = run_stream_shard(job, on_test, trace_path)
-        payload = {"ok": True,
-                   "records": _records_to_jsonable(result),
-                   "obs": result.obs}
-    except BaseException:
-        payload = {"ok": False, "error": traceback.format_exc()}
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-# -- Inline path (workers == 1) -----------------------------------------
-
-
-def _run_inline(runs: list[HuntRun], policy: str, runner: ShardRunner,
-                emit: EventFn, apply_control,
-                stream_ok: bool = True) -> None:
-    """In-process execution; campaign exceptions fail just the hunt."""
-    affinity: str | None = None
-    while True:
-        apply_control()
-        run = _next_run(runs, policy, affinity)
-        if run is None:
-            return
-        affinity = run.hunt_id
-        job, _ = run.queue.popleft()
-        try:
-            if run.stream and stream_ok:
-                result = _run_stream_shard(run, job, emit)
-            else:
-                result = runner(job)
-        except Exception as exc:  # noqa: BLE001 - isolate per hunt
-            run.queue.clear()
-            run.halt = (f"shard {job.shard_id!r} campaign failed: "
-                        f"{exc}")
-            continue
-        _complete(run, job, result, None, emit)
-
-
-# -- Pool path (workers >= 2) -------------------------------------------
-
-
-@dataclass
-class _InFlight:
-    run: HuntRun
-    job: ShardJob
-    attempt: int
-    process: object
-    deadline: float | None
-
-
-def _fail_or_retry(entry: _InFlight, reason: str,
-                   emit: EventFn) -> None:
-    run = entry.run
-    if entry.attempt > run.max_retries:
-        run.queue.clear()
-        run.halt = (f"shard {entry.job.shard_id!r} failed after "
-                    f"{entry.attempt} attempts: {reason}")
-        return
-    run.retries += 1
-    emit(HuntShardRetried(
-        hunt_id=run.hunt_id, shard_id=entry.job.shard_id,
-        attempt=entry.attempt + 1, reason=reason,
-    ))
-    run.queue.appendleft((entry.job, entry.attempt + 1))
-
-
-def _run_pool(runs: list[HuntRun], workers: int, policy: str,
-              runner: ShardRunner, emit: EventFn, apply_control,
-              shard_timeout: float | None,
-              stream_ok: bool = True) -> None:
-    ctx = _mp_context()
-    in_flight: dict[object, _InFlight] = {}
-    #: worker slot -> hunt affinity; slots are just indexes 0..N-1.
-    affinity: dict[int, str | None] = {slot: None
-                                       for slot in range(workers)}
-    free_slots = deque(range(workers))
-    slot_of: dict[object, int] = {}
-
-    def anything_left() -> bool:
-        return bool(in_flight) or any(_dispatchable(run)
-                                      for run in runs)
-
-    try:
-        while anything_left():
-            apply_control()
-            while free_slots:
-                slot = free_slots[0]
-                run = _next_run(runs, policy, affinity[slot])
-                if run is None:
-                    break
-                free_slots.popleft()
-                affinity[slot] = run.hunt_id
-                job, attempt = run.queue.popleft()
-                recv, send = ctx.Pipe(duplex=False)
-                if run.stream and stream_ok:
-                    trace_path = (
-                        str(run.store.trace_path(job.shard_id))
-                        if run.store is not None else None
-                    )
-                    target, args = _stream_hunt_worker, (
-                        send, job, trace_path,
-                    )
-                else:
-                    target, args = _shard_worker, (send, runner, job)
-                process = ctx.Process(
-                    target=target, args=args,
-                    name=f"hunt-{run.hunt_id}-{job.shard_id}",
-                    daemon=True,
-                )
-                process.start()
-                send.close()
-                deadline = (time.monotonic() + shard_timeout
-                            if shard_timeout is not None else None)
-                in_flight[recv] = _InFlight(run, job, attempt,
-                                            process, deadline)
-                slot_of[recv] = slot
-                run.running += 1
-            if not in_flight:
-                # Nothing running and nothing dispatchable right now
-                # (every remaining hunt halted).
-                break
-
-            poll = 0.5
-            now = time.monotonic()
-            deadlines = [entry.deadline
-                         for entry in in_flight.values()
-                         if entry.deadline is not None]
-            if deadlines:
-                poll = max(0.0, min(poll, min(deadlines) - now))
-            ready = connection.wait(list(in_flight), timeout=poll)
-
-            for conn in ready:
-                entry = in_flight[conn]
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-                if isinstance(payload, dict) and \
-                        payload.get("type") == "test":
-                    # Interim verdict; the shard is still running.
-                    _emit_test_checked(entry.run.hunt_id,
-                                       entry.job.shard_id,
-                                       payload, emit)
-                    continue
-                in_flight.pop(conn)
-                slot = slot_of.pop(conn)
-                free_slots.append(slot)
-                entry.run.running -= 1
-                conn.close()
-                entry.process.join()
-                if payload is None:
-                    _fail_or_retry(
-                        entry,
-                        "worker crashed (exit code "
-                        f"{entry.process.exitcode})", emit,
-                    )
-                elif payload["ok"]:
-                    result = _result_from_records(
-                        entry.job, payload["records"],
-                        obs=payload.get("obs"),
-                    )
-                    _complete(entry.run, entry.job, result,
-                              payload["records"], emit)
-                else:
-                    # Deterministic campaign failure: fail the hunt,
-                    # keep the pool serving the others.
-                    entry.run.queue.clear()
-                    entry.run.halt = (
-                        f"shard {entry.job.shard_id!r} campaign "
-                        f"failed:\n{payload['error']}"
-                    )
-
-            now = time.monotonic()
-            for conn, entry in list(in_flight.items()):
-                if entry.deadline is not None and \
-                        now > entry.deadline:
-                    in_flight.pop(conn)
-                    slot = slot_of.pop(conn)
-                    free_slots.append(slot)
-                    entry.run.running -= 1
-                    entry.process.terminate()
-                    entry.process.join()
-                    conn.close()
-                    _fail_or_retry(
-                        entry,
-                        f"timed out after {shard_timeout:.1f}s",
-                        emit,
-                    )
-    finally:
-        for entry in in_flight.values():
-            entry.process.terminate()
-            entry.process.join()
-            entry.run.running -= 1

@@ -23,7 +23,11 @@ from dataclasses import replace
 from typing import Any, Callable, Iterator
 
 from repro.errors import InvalidRequestError, NotFoundError
-from repro.fleet.executor import DEFAULT_MAX_RETRIES, ShardRunner
+from repro.fleet.pool import (
+    DEFAULT_MAX_RETRIES,
+    ShardRunner,
+    check_max_retries,
+)
 from repro.obs.events import (
     HuntShardCompleted,
     HuntShardRetried,
@@ -49,6 +53,7 @@ class CampaignService:
                  policy: str = "stealing",
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  on_event: EventFn | None = None) -> None:
+        check_max_retries(max_retries)
         self.store = HuntStore(root)
         self.workers = workers
         self.policy = policy

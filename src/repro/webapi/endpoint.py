@@ -14,12 +14,7 @@ incoming :class:`~repro.webapi.http.ApiRequest`:
 
 Routes are declared on a :class:`~repro.webapi.router.Router` passed at
 construction (the declarative surface every service and the campaign
-service share).  The historical imperative ``endpoint.route(...)``
-call survives as a :class:`DeprecationWarning` shim that registers on
-the same router, so older service code keeps working — and keeps its
-:class:`EndpointStats` accounting and golden signatures unchanged,
-because parameter-free routes resolve through the exact same
-``(method, path)`` dict lookup as before.
+service share).
 
 Route handlers receive ``(request, account)`` and return either a body
 mapping (wrapped into 200) or a :class:`~repro.sim.future.Future` of
@@ -31,7 +26,6 @@ collision), so handlers read them with ``request.param("hunt_id")``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Any, Callable, Mapping
 
@@ -119,29 +113,6 @@ class ServiceEndpoint:
     def router(self) -> Router:
         """The route table this endpoint dispatches on."""
         return self._router
-
-    def route(self, method: str, path: str, handler: RouteHandler,
-              processing_delay_median: float | None = None,
-              processing_delay_sigma: float | None = None) -> None:
-        """Deprecated: register a handler for ``METHOD path``.
-
-        Imperative registration predates the declarative router;
-        declare routes on a :class:`~repro.webapi.router.Router` and
-        pass it to ``ServiceEndpoint(router=...)`` instead.  The shim
-        registers on the same router, so behaviour (and stats
-        accounting) is identical.
-        """
-        warnings.warn(
-            "ServiceEndpoint.route() is deprecated; declare routes on "
-            "a repro.webapi.Router and pass it to "
-            "ServiceEndpoint(router=...)",
-            DeprecationWarning, stacklevel=2,
-        )
-        self._router.add(
-            method, path, handler,
-            processing_delay_median=processing_delay_median,
-            processing_delay_sigma=processing_delay_sigma,
-        )
 
     # -- Request pipeline --------------------------------------------------
 

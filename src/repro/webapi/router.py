@@ -1,9 +1,8 @@
 """Declarative request routing shared by every API surface.
 
-Historically each :class:`~repro.webapi.endpoint.ServiceEndpoint`
-carried its own ad-hoc ``(method, path) -> handler`` dict, populated
-imperatively with ``endpoint.route(...)`` calls.  That was fine for
-five services with two static paths each, but the campaign service
+A flat ``(method, path) -> handler`` dict per
+:class:`~repro.webapi.endpoint.ServiceEndpoint` would do for five
+services with two static paths each, but the campaign service
 (:mod:`repro.serve`) needs versioned paths, path parameters
 (``/v1/hunts/{hunt_id}``), and resources that register several related
 routes at once — and it must share the auth/rate-limit/pagination
@@ -65,8 +64,7 @@ class RouteSpec:
 
     ``pattern`` is an absolute path whose ``{name}`` segments match any
     single concrete segment and bind it as a path parameter.  The
-    optional processing-delay overrides mirror the historical
-    ``endpoint.route(...)`` keywords: they replace the endpoint's
+    optional processing-delay overrides replace the endpoint's
     defaults when this route is dispatched.
     """
 

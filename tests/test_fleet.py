@@ -319,6 +319,19 @@ class TestWorkerFailures:
         assert not [e for e in events if isinstance(e, ShardRetried)]
 
 
+    def test_in_process_campaign_exception_propagates_unwrapped(self):
+        spec = FleetSpec(services=("blogger",), base_config=SMALL,
+                         seeds=(1, 2))
+        with pytest.raises(ValueError,
+                           match="deterministic campaign failure"):
+            run_fleet(spec, jobs=1, shard_runner=failing_runner)
+
+    def test_negative_max_retries_is_rejected(self):
+        spec = FleetSpec(services=("blogger",), base_config=SMALL)
+        with pytest.raises(ConfigurationError):
+            run_fleet(spec, max_retries=-1)
+
+
 def always_crash_runner(job):
     os._exit(3)
 

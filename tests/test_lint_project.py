@@ -433,6 +433,44 @@ class TestPAR001:
         assert "argument 'runner'" in par[0].message
 
 
+    def test_fleet_and_hunt_pools_are_default_boundaries(self, tmp_path):
+        # Both shells drain the same worker pool: a closure shard
+        # runner is unpicklable whichever one it enters through, while
+        # module-level runners and host-side callbacks are fine.
+        root = write_package(tmp_path, "pkg6b", {
+            "__init__.py": '"""pkg6b."""\n\n__all__ = []\n',
+            "drive.py": """\
+                from repro.fleet import run_fleet
+                from repro.serve import run_hunts
+                from repro.serve.scheduler import run_hunts as hunts
+
+                __all__ = ["bad", "good"]
+
+
+                def runner(job):
+                    return job
+
+
+                def bad(spec, runs):
+                    run_fleet(spec, jobs=2, shard_runner=lambda job: job)
+                    run_hunts(runs, workers=2,
+                              shard_runner=lambda job: job)
+                    hunts(runs, workers=2, shard_runner=lambda job: job)
+
+
+                def good(spec, runs):
+                    run_fleet(spec, jobs=2, shard_runner=runner,
+                              on_event=lambda event: None)
+                    run_hunts(runs, workers=2, shard_runner=runner,
+                              on_event=lambda event: None)
+            """,
+        })
+        result = lint_paths([root], LintConfig(), project=True)
+        par = [f for f in result.findings if f.code == "PAR001"]
+        assert [f.line for f in par] == [13, 15, 16]
+        assert all("argument 'shard_runner'" in f.message for f in par)
+
+
 class TestTRACE002:
     def test_direct_mutation_after_emission(self, tmp_path):
         root = write_package(tmp_path, "pkg7", {

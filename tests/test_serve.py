@@ -14,6 +14,7 @@ via an environment variable, as in ``test_fleet``.
 """
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,12 @@ def crash_blogger_runner(job):
 
 def failing_runner(job):
     raise ValueError("deterministic campaign failure")
+
+
+def slow_crash_runner(job):
+    """Outlive one dispatch round of the pool, then die."""
+    time.sleep(1.0)
+    os._exit(3)
 
 
 @pytest.fixture
@@ -452,6 +459,41 @@ class TestSchedulerPool:
         assert outcomes[bad].status == "failed"
         assert "attempts" in outcomes[bad].error
         assert outcomes[good].status == "done"
+
+
+class TestHaltedHunts:
+    @pytest.mark.parametrize("max_retries", [2, 0])
+    def test_in_flight_crash_after_cancel_keeps_the_halt(
+            self, max_retries):
+        from repro.obs.events import HuntShardRetried
+        from repro.serve import HuntRun, run_hunts
+
+        spec = HuntSpec(services=("blogger",), seeds=(1,), **TINY)
+        run = HuntRun(hunt_id="h0001", jobs=tuple(spec.fleet_spec().jobs()),
+                      max_retries=max_retries)
+        verdicts = iter(["run"])
+
+        def control(hunt_id):
+            # The first poll dispatches the shard; every later one
+            # cancels while it is still in flight.
+            return next(verdicts, "cancel")
+
+        events = []
+        outcomes = run_hunts([run], workers=2,
+                             shard_runner=slow_crash_runner,
+                             control=control, on_event=events.append)
+        assert outcomes[0].status == "cancelled"
+        assert outcomes[0].retries == 0
+        assert outcomes[0].error is None
+        assert not [e for e in events if isinstance(e, HuntShardRetried)]
+
+    def test_negative_max_retries_is_rejected(self, tmp_path):
+        from repro.serve import HuntRun
+
+        with pytest.raises(ConfigurationError):
+            HuntRun(hunt_id="h0001", jobs=(), max_retries=-1)
+        with pytest.raises(ConfigurationError):
+            CampaignService(tmp_path, max_retries=-1)
 
 
 class TestHuntServerApi:

@@ -3,9 +3,7 @@
 The redesign's guarantees under test: exact routes keep the historical
 dict dispatch, ``{param}`` segments bind path parameters with
 most-literal-first precedence, shape conflicts fail at registration
-time, prefixes compose through ``include``, and the deprecated
-``endpoint.route(...)`` shim still registers (with a warning) without
-disturbing stats accounting.
+time, and prefixes compose through ``include``.
 """
 
 import pytest
@@ -147,31 +145,3 @@ class TestPrefixAndMounting:
                           processing_delay_sigma=0.3)
         assert spec.processing_delay_median == 0.08
         assert spec.processing_delay_sigma == 0.3
-
-
-class TestEndpointShim:
-    def test_route_shim_warns_and_still_registers(self):
-        from repro.net import (
-            JitterParams,
-            LatencyModel,
-            Network,
-            Region,
-            Topology,
-        )
-        from repro.sim import RandomSource, Simulator
-        from repro.webapi import AccountRegistry, ServiceEndpoint
-
-        sim = Simulator()
-        topo = Topology()
-        topo.add_region(Region("east"))
-        topo.place_host("api", "east")
-        rng = RandomSource(seed=1)
-        net = Network(sim, LatencyModel(topo, rng.child("net"),
-                                        JitterParams(sigma=0.0)))
-        endpoint = ServiceEndpoint(
-            sim, net, "api", accounts=AccountRegistry("svc"),
-            rng=rng.child("endpoint"),
-        )
-        with pytest.warns(DeprecationWarning):
-            endpoint.route("GET", "/ping", handler)
-        assert endpoint.router.resolve("GET", "/ping") is not None
